@@ -208,16 +208,15 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Build(
   if (!wal.ok()) return wal.status();
   engine->wal_ = std::move(*wal);
 
-  // Offline artifacts: social graph, corpus vocabulary, exact upper
-  // bounds (maintained incrementally by the thread tracker so later
-  // AppendBatch calls stay O(1) per post), per-user location profiles
-  // (Def. 9). The engine is not yet published, but the fields are
-  // lock-annotated, so initialize them under the (uncontended) lock.
+  // Offline artifacts: corpus vocabulary, exact upper bounds (maintained
+  // incrementally by the thread tracker so later AppendBatch calls stay
+  // O(1) per post), per-user location profiles (Def. 9). The engine is not
+  // yet published, but the fields are lock-annotated, so initialize them
+  // under the (uncontended) lock.
   WriterMutexLock lock(&engine->mu_);
   const Tokenizer tokenizer(options.tokenizer);
   engine->delta_ = std::make_unique<DeltaIndex>(
       DeltaIndex::Options{options.geohash_length, options.tokenizer});
-  engine->graph_ = SocialGraph::Build(dataset);
   engine->vocabulary_ = dataset.BuildVocabulary(tokenizer);
   engine->tracker_ = ThreadTracker(ThreadTracker::Options{
       options.thread_depth, options.scoring.epsilon});
@@ -236,8 +235,8 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Build(
   for (const Post* p : ordered) {
     engine->tracker_.AddPost(*p, tokenizer.Tokenize(p->text));
     engine->max_sid_ = std::max(engine->max_sid_, p->sid);
-    // Untagged posts carry no usable location; they still count for the
-    // social graph and thread popularity, but not for Def. 9.
+    // Untagged posts carry no usable location; they still count for
+    // thread popularity, but not for Def. 9.
     if (p->HasLocation()) {
       engine->user_locations_[p->uid].push_back(p->location);
     }
@@ -302,7 +301,6 @@ void TkLusEngine::FinishConstruction() {
 void TkLusEngine::ApplyPostLocked(const Post& post,
                                   const Tokenizer& tokenizer) {
   delta_->Apply(post);
-  graph_.AddPost(post);
   const std::vector<std::string> terms = tokenizer.Tokenize(post.text);
   tracker_.AddPost(post, terms);
   for (const std::string& term : terms) {

@@ -23,7 +23,6 @@
 #include "obs/metrics.h"
 #include "obs/slow_query_log.h"
 #include "social/popularity_cache.h"
-#include "social/social_graph.h"
 #include "storage/metadata_db.h"
 #include "storage/sid_store.h"
 #include "storage/wal.h"
@@ -33,7 +32,7 @@ namespace tklus {
 
 // The public entry point of the library: builds the whole Figure-3 stack
 // from a dataset (metadata DB with B+-trees, MapReduce-constructed hybrid
-// index in the simulated DFS, social graph, upper-bound registry) and
+// index in the simulated DFS, thread tracker, upper-bound registry) and
 // answers TkLUS queries.
 //
 //   Dataset tweets = ...;
@@ -165,9 +164,7 @@ class TkLusEngine {
   // every intact record past the checkpoint watermark is re-absorbed into
   // the delta index. Artifacts are checksum-verified before
   // deserialization: byte-level damage yields kCorruption, never garbage
-  // state. The social graph is not persisted (queries never consult it —
-  // bounds are persisted separately); social_graph() covers only replayed
-  // posts on an opened engine.
+  // state.
   static Result<std::unique_ptr<TkLusEngine>> Open(const std::string& dir,
                                                    Options options);
   static Result<std::unique_ptr<TkLusEngine>> Open(const std::string& dir) {
@@ -205,9 +202,6 @@ class TkLusEngine {
   // AppendBatch/Query is in flight.
   const HybridIndex& index() const { return *index_; }
   MetadataDb& metadata_db() { return *db_; }
-  const SocialGraph& social_graph() const TKLUS_NO_THREAD_SAFETY_ANALYSIS {
-    return graph_;
-  }
   const UpperBoundRegistry& bounds() const TKLUS_NO_THREAD_SAFETY_ANALYSIS {
     return bounds_;
   }
@@ -293,7 +287,6 @@ class TkLusEngine {
   // mutated only inside fold commits / construction (exclusive lock), read
   // lock-free by concurrent queries like the other mu_-disciplined state.
   std::unique_ptr<SidStore> sid_store_;
-  SocialGraph graph_ TKLUS_GUARDED_BY(mu_);
   UpperBoundRegistry bounds_ TKLUS_GUARDED_BY(mu_);
   Vocabulary vocabulary_ TKLUS_GUARDED_BY(mu_);
   ThreadTracker tracker_ TKLUS_GUARDED_BY(mu_);

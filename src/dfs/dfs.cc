@@ -17,6 +17,8 @@ namespace {
 struct DfsMetrics {
   Counter* block_reads;
   Counter* read_faults;
+  Counter* bytes_returned;
+  Counter* bytes_verified;
 
   static const DfsMetrics& Get() {
     static const DfsMetrics* metrics = [] {
@@ -27,6 +29,14 @@ struct DfsMetrics {
       m->read_faults = reg.GetCounter(
           "tklus_dfs_read_faults_total",
           "DFS reads aborted by an injected transient fault.");
+      // verified / returned is the read-amplification of checksumming:
+      // at most two partial chunks per block a read touches.
+      m->bytes_returned = reg.GetCounter(
+          "tklus_dfs_bytes_returned_total",
+          "Bytes returned by successful DFS reads.");
+      m->bytes_verified = reg.GetCounter(
+          "tklus_dfs_bytes_verified_total",
+          "Bytes checksummed by successful DFS reads (whole chunks).");
       return m;
     }();
     return *metrics;
@@ -59,10 +69,18 @@ Status SimulatedDfs::Append(const std::string& path, std::string_view data) {
     Block& tail = file.blocks.back();
     const size_t room = options_.block_size - tail.data.size();
     const size_t take = std::min(room, data.size() - consumed);
-    tail.data.append(data.substr(consumed, take));
-    tail.crc = Crc32(tail.data.data(), tail.data.size());
+    // Extend the CRC of each chunk the new bytes land in. Stored bytes are
+    // never re-checksummed, so an at-rest flip in them stays detectable.
+    for (size_t end = consumed + take; consumed < end;) {
+      const size_t chunk = tail.data.size() / kBytesPerChecksum;
+      const size_t n = std::min(
+          end - consumed, (chunk + 1) * kBytesPerChecksum - tail.data.size());
+      if (chunk == tail.crc.size()) tail.crc.push_back(0);
+      tail.crc[chunk] = Crc32(data.data() + consumed, n, tail.crc[chunk]);
+      tail.data.append(data.substr(consumed, n));
+      consumed += n;
+    }
     nodes_[tail.node].bytes_stored += take;
-    consumed += take;
     file.size += take;
   }
   return Status::Ok();
@@ -91,6 +109,7 @@ Status SimulatedDfs::ReadAt(const std::string& path, uint64_t offset,
   uint64_t block_idx = offset / options_.block_size;
   uint64_t in_block = offset % options_.block_size;
   uint64_t remaining = length;
+  uint64_t verified = 0;
   while (remaining > 0) {
     Block& block = file.blocks[block_idx];
     if (node_down_[block.node]) {
@@ -107,25 +126,36 @@ Status SimulatedDfs::ReadAt(const std::string& path, uint64_t offset,
       ++node.seeks;
     }
     last_block_read_[block.node] = static_cast<int64_t>(block_idx);
-    if (faults_ != nullptr && !block.data.empty()) {
-      // At-rest corruption: the stored bytes themselves are damaged, so
-      // the checksum below (and every later read) sees the flip.
-      faults_->MaybeCorrupt(faults::kDfsRead, block.data.data(),
-                            block.data.size());
-    }
-    if (Crc32(block.data.data(), block.data.size()) != block.crc) {
-      return Status::Corruption(
-          "block checksum mismatch in " + path + " (block " +
-          std::to_string(block_idx) + " on node " +
-          std::to_string(block.node) + ")");
-    }
     const uint64_t take =
         std::min<uint64_t>(remaining, block.data.size() - in_block);
+    if (faults_ != nullptr) {
+      // At-rest corruption of bytes this read returns: the stored bytes
+      // themselves are damaged, so the chunk check below (and every later
+      // read of that chunk) sees the flip.
+      faults_->MaybeCorrupt(faults::kDfsRead, block.data.data() + in_block,
+                            take);
+    }
+    // Verify exactly the chunks [in_block, in_block + take) overlaps.
+    for (uint64_t chunk = in_block / kBytesPerChecksum;
+         chunk * kBytesPerChecksum < in_block + take; ++chunk) {
+      const uint64_t begin = chunk * kBytesPerChecksum;
+      const uint64_t n =
+          std::min<uint64_t>(kBytesPerChecksum, block.data.size() - begin);
+      if (Crc32(block.data.data() + begin, n) != block.crc[chunk]) {
+        return Status::Corruption(
+            "chunk checksum mismatch in " + path + " (block " +
+            std::to_string(block_idx) + " chunk " + std::to_string(chunk) +
+            " on node " + std::to_string(block.node) + ")");
+      }
+      verified += n;
+    }
     out->append(block.data, in_block, take);
     remaining -= take;
     in_block = 0;
     ++block_idx;
   }
+  DfsMetrics::Get().bytes_returned->Increment(length);
+  DfsMetrics::Get().bytes_verified->Increment(verified);
   return Status::Ok();
 }
 

@@ -21,13 +21,18 @@ namespace tklus {
 // and the sequential-vs-random read pattern of postings fetches ("random
 // access to inverted index in HDFS is disk-based", §VI-B1).
 //
-// Fault model: every block carries a CRC32 verified on read (at-rest
+// Fault model: every block carries one CRC32 per kBytesPerChecksum-byte
+// chunk, and a read verifies the chunks its extent overlaps (at-rest
 // corruption surfaces as kCorruption, never as garbage postings); a data
 // node can be marked down (reads of its blocks fail with kUnavailable
 // until it recovers); and an attached FaultInjector can fail or corrupt
 // reads probabilistically or on schedule (site faults::kDfsRead).
 class SimulatedDfs {
  public:
+  // HDFS's `dfs.bytes-per-checksum`: a short postings read pays for the
+  // chunks it touches, not for its whole block.
+  static constexpr size_t kBytesPerChecksum = 512;
+
   struct Options {
     size_t block_size = 64 * 1024;
     int num_data_nodes = 3;  // Table III: one master + two slaves
@@ -96,7 +101,10 @@ class SimulatedDfs {
  private:
   struct Block {
     int node = 0;
-    uint32_t crc = 0;  // CRC32 of `data`, maintained by Append
+    // crc[i] is the CRC32 of data[i * kBytesPerChecksum, +kBytesPerChecksum)
+    // (the last chunk may be short). Append extends only the chunks it
+    // writes into; ReadAt verifies only the chunks it returns bytes from.
+    std::vector<uint32_t> crc;
     std::string data;
   };
   struct File {

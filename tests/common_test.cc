@@ -3,7 +3,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -190,6 +193,62 @@ TEST(StringUtilTest, ToLowerAndStartsWith) {
 TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(512), "512 B");
   EXPECT_EQ(HumanBytes(3670016), "3.5 MiB");
+}
+
+// ------------------------------------------------------------ CRC32 kernel
+
+// Bit-at-a-time CRC-32/IEEE (reflected 0xedb88320), the definition the
+// slicing-by-8 kernel must reproduce exactly.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+  }
+  return c ^ 0xffffffffu;
+}
+
+TEST(Crc32KernelTest, MatchesBitwiseReferenceAtEveryAlignment) {
+  Rng rng(20150413);
+  std::vector<unsigned char> buffer(4096 + 8);
+  for (unsigned char& b : buffer) b = static_cast<unsigned char>(rng.Next());
+  for (int trial = 0; trial < 64; ++trial) {
+    const size_t len = rng.UniformInt(uint64_t{4097});  // 0..4096 bytes
+    const uint32_t seed =
+        trial % 2 == 0 ? 0u : static_cast<uint32_t>(rng.Next());
+    for (size_t align = 0; align < 8; ++align) {
+      const unsigned char* p = buffer.data() + align;
+      EXPECT_EQ(Crc32(p, len, seed), BitwiseCrc32(p, len, seed))
+          << "len " << len << " align " << align << " seed " << seed;
+    }
+  }
+  // Every short length, where only the byte-at-a-time tail runs.
+  for (size_t len = 0; len <= 24; ++len) {
+    const unsigned char* p = buffer.data() + 3;
+    EXPECT_EQ(Crc32(p, len), BitwiseCrc32(p, len, 0)) << "len " << len;
+  }
+}
+
+TEST(Crc32KernelTest, CheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  const std::string check = "123456789";
+  EXPECT_EQ(BitwiseCrc32(reinterpret_cast<const unsigned char*>(check.data()),
+                         check.size(), 0),
+            0xCBF43926u);
+}
+
+TEST(Crc32KernelTest, ExtendingEqualsConcatenating) {
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::string a(rng.UniformInt(uint64_t{700}), '\0');
+    std::string b(rng.UniformInt(uint64_t{700}), '\0');
+    for (char& ch : a) ch = static_cast<char>(rng.Next());
+    for (char& ch : b) ch = static_cast<char>(rng.Next());
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(a + b))
+        << "|a| " << a.size() << " |b| " << b.size();
+  }
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 
 #include "common/fault_injector.h"
+#include "common/rng.h"
 #include "dfs/dfs.h"
+#include "obs/metrics.h"
 
 namespace tklus {
 namespace {
@@ -188,6 +192,146 @@ TEST(DfsFaultTest, LoadResetsDownNodesAndChecksums) {
   std::string out;
   ASSERT_TRUE(restored.ReadAt("f", 0, 16, &out).ok());
   EXPECT_EQ(out, "0123456789abcdef");
+}
+
+// ------------------------------------------------------- chunk checksums
+
+constexpr uint64_t kChunk = SimulatedDfs::kBytesPerChecksum;
+
+std::string RandomBytes(Rng& rng, size_t n) {
+  std::string bytes(n, '\0');
+  for (char& b : bytes) b = static_cast<char>(rng.Next());
+  return bytes;
+}
+
+uint64_t CounterValue(const char* name) {
+  return MetricsRegistry::Global().GetCounter(name, "")->Value();
+}
+
+// Shadow-state oracle: seeded random appends and reads against a plain
+// string per file holding what the file must contain. Block sizes below,
+// at and between multiples of the chunk size make appends and reads start,
+// end and straddle chunk and block boundaries; a Save/Load round trip
+// mid-sequence re-derives every chunk CRC from the image.
+TEST(DfsChunkTest, RandomOpsMatchShadowAcrossChunksAndBlocks) {
+  for (const size_t block_size : {100, 512, 1000, 1536, 4096}) {
+    SCOPED_TRACE("block_size " + std::to_string(block_size));
+    Rng rng(block_size);
+    SimulatedDfs::Options opts;
+    opts.block_size = block_size;
+    auto dfs = std::make_unique<SimulatedDfs>(opts);
+    std::map<std::string, std::string> shadow;
+    for (int op = 0; op < 800; ++op) {
+      if (op == 400) {
+        std::stringstream image;
+        ASSERT_TRUE(dfs->Save(image).ok());
+        dfs = std::make_unique<SimulatedDfs>();
+        ASSERT_TRUE(dfs->Load(image).ok());
+        ASSERT_EQ(dfs->options().block_size, block_size);
+      }
+      const std::string path = rng.Bernoulli(0.5) ? "a" : "b";
+      std::string& want = shadow[path];
+      if (want.empty() || rng.Bernoulli(0.3)) {
+        const std::string bytes =
+            RandomBytes(rng, rng.UniformInt(uint64_t{1300}));
+        ASSERT_TRUE(dfs->Append(path, bytes).ok());
+        want += bytes;
+        continue;
+      }
+      const uint64_t offset = rng.UniformInt(want.size());
+      // Mostly postings-sized reads, sometimes long ones.
+      const uint64_t max_len = rng.Bernoulli(0.8) ? 160 : want.size();
+      const uint64_t length =
+          rng.UniformInt(std::min(max_len, want.size() - offset) + 1);
+      const uint64_t returned_before =
+          CounterValue("tklus_dfs_bytes_returned_total");
+      const uint64_t verified_before =
+          CounterValue("tklus_dfs_bytes_verified_total");
+      std::string out;
+      ASSERT_TRUE(dfs->ReadAt(path, offset, length, &out).ok());
+      ASSERT_EQ(out, want.substr(offset, length))
+          << path << " @" << offset << "+" << length;
+      const uint64_t returned =
+          CounterValue("tklus_dfs_bytes_returned_total") - returned_before;
+      const uint64_t verified =
+          CounterValue("tklus_dfs_bytes_verified_total") - verified_before;
+      const uint64_t blocks =
+          length == 0 ? 0
+                      : (offset + length - 1) / block_size -
+                            offset / block_size + 1;
+      EXPECT_EQ(returned, length);
+      // Every returned byte lies in a verified chunk, and at most two
+      // partial chunks per block are verified beyond what is returned.
+      EXPECT_GE(verified, returned);
+      EXPECT_LE(verified, returned + 2 * kChunk * blocks)
+          << path << " @" << offset << "+" << length;
+    }
+  }
+}
+
+// A kDfsRead corruption flips a stored byte inside the extent the read
+// returns, so the read that drew it fails, and so does every later read
+// of the damaged chunk; reads of the other chunks are unaffected.
+TEST(DfsChunkTest, ReadFlipFailsThatReadAndEveryLaterReadOfTheChunk) {
+  SimulatedDfs::Options opts;
+  opts.block_size = 2048;
+  Rng rng(99);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    SimulatedDfs dfs(opts);
+    FaultInjector injector(/*seed=*/trial);
+    dfs.set_fault_injector(&injector);
+    const std::string payload = RandomBytes(rng, 5000);
+    ASSERT_TRUE(dfs.Append("f", payload).ok());
+
+    const uint64_t offset = rng.UniformInt(payload.size());
+    const uint64_t length =
+        1 + rng.UniformInt(std::min<uint64_t>(700, payload.size() - offset));
+    std::string out;
+    injector.FailNext(faults::kDfsRead, FaultKind::kCorruption, 1);
+    ASSERT_EQ(dfs.ReadAt("f", offset, length, &out).code(),
+              StatusCode::kCorruption);
+    ASSERT_EQ(injector.injected(faults::kDfsRead), 1u);
+
+    // Exactly one chunk the read overlapped is damaged; every later read
+    // of it (whole or one byte) fails, every other chunk reads clean.
+    int damaged = 0;
+    for (uint64_t begin = 0; begin < payload.size(); begin += kChunk) {
+      const uint64_t n = std::min<uint64_t>(kChunk, payload.size() - begin);
+      const Status whole = dfs.ReadAt("f", begin, n, &out);
+      const bool overlaps = begin < offset + length && offset < begin + n;
+      if (!whole.ok()) {
+        EXPECT_EQ(whole.code(), StatusCode::kCorruption);
+        EXPECT_TRUE(overlaps) << "chunk @" << begin;
+        ++damaged;
+        EXPECT_EQ(dfs.ReadAt("f", begin + n - 1, 1, &out).code(),
+                  StatusCode::kCorruption);
+        EXPECT_EQ(dfs.ReadAt("f", begin, n, &out).code(),
+                  StatusCode::kCorruption);
+      } else {
+        EXPECT_EQ(out, payload.substr(begin, n));
+      }
+    }
+    EXPECT_EQ(damaged, 1);
+  }
+}
+
+// An append into a chunk extends its stored CRC rather than recomputing
+// it from the stored bytes, so it cannot launder an earlier at-rest flip.
+TEST(DfsChunkTest, AppendDoesNotLaunderADamagedTailChunk) {
+  SimulatedDfs dfs;
+  FaultInjector injector(/*seed=*/5);
+  dfs.set_fault_injector(&injector);
+  ASSERT_TRUE(dfs.Append("f", std::string(300, 'p')).ok());
+  std::string out;
+  injector.FailNext(faults::kDfsRead, FaultKind::kCorruption, 1);
+  ASSERT_EQ(dfs.ReadAt("f", 0, 300, &out).code(), StatusCode::kCorruption);
+  ASSERT_TRUE(dfs.Append("f", std::string(100, 'q')).ok());
+  EXPECT_EQ(dfs.ReadAt("f", 0, 400, &out).code(), StatusCode::kCorruption);
+  // Bytes appended into a fresh chunk verify on their own.
+  ASSERT_TRUE(dfs.Append("f", std::string(2 * kChunk, 'r')).ok());
+  ASSERT_TRUE(dfs.ReadAt("f", kChunk, kChunk, &out).ok());
+  EXPECT_EQ(out, std::string(kChunk, 'r'));
 }
 
 }  // namespace

@@ -355,7 +355,19 @@ struct KillPoint {
   const char* site;
   FaultKind kind;
   const char* label;
+  // Leading bytes of `site`'s address in the build whose test names were
+  // recorded (see PrintTo).
+  const char* recorded = "";
 };
+
+// Prints the name each kill point was first recorded under. With no
+// PrintTo, gtest printed the struct's raw bytes, so each test name held the
+// address of `site` — cut off by the 100-character name limit of the
+// recorded list. Such an address changes with every link; pinning the
+// recorded bytes keeps every kill point's name the same in every build.
+void PrintTo(const KillPoint& kp, std::ostream* os) {
+  *os << "24-byte object <" << kp.recorded;
+}
 
 class KillPointSweepTest : public EngineRecoveryTest,
                            public ::testing::WithParamInterface<KillPoint> {};
@@ -407,21 +419,29 @@ TEST_P(KillPointSweepTest, RecoversToAckedPrefix) {
 INSTANTIATE_TEST_SUITE_P(
     AllSites, KillPointSweepTest,
     ::testing::Values(
-        KillPoint{faults::kWalAppend, FaultKind::kPermanent, "wal_append"},
-        KillPoint{faults::kWalAppend, FaultKind::kTornWrite, "wal_torn"},
-        KillPoint{faults::kWalFsync, FaultKind::kPermanent, "wal_fsync"},
+        KillPoint{faults::kWalAppend, FaultKind::kPermanent, "wal_append",
+                  "60-6E 46"},
+        KillPoint{faults::kWalAppend, FaultKind::kTornWrite, "wal_torn",
+                  "60-6E 46-1"},
+        KillPoint{faults::kWalFsync, FaultKind::kPermanent, "wal_fsync",
+                  "50-6E 46-"},
         KillPoint{faults::kWalTruncate, FaultKind::kPermanent,
-                  "wal_truncate"},
-        KillPoint{faults::kFileWrite, FaultKind::kPermanent, "file_write"},
-        KillPoint{faults::kFileWrite, FaultKind::kTornWrite, "file_torn"},
-        KillPoint{faults::kFileRename, FaultKind::kPermanent, "file_rename"},
-        KillPoint{faults::kDiskWrite, FaultKind::kPermanent, "disk_write"},
-        KillPoint{faults::kDiskWrite, FaultKind::kTornWrite, "disk_torn"},
+                  "wal_truncate", "40-6E"},
+        KillPoint{faults::kFileWrite, FaultKind::kPermanent, "file_write",
+                  "30-6E 46"},
+        KillPoint{faults::kFileWrite, FaultKind::kTornWrite, "file_torn",
+                  "30-6E 46-"},
+        KillPoint{faults::kFileRename, FaultKind::kPermanent, "file_rename",
+                  "20-6E 4"},
+        KillPoint{faults::kDiskWrite, FaultKind::kPermanent, "disk_write",
+                  "70-6E 46"},
+        KillPoint{faults::kDiskWrite, FaultKind::kTornWrite, "disk_torn",
+                  "70-6E 46-"},
         // Crash exactly between index.bin and sid_store.bin: the image
         // holds a folded DB but a stale sid store, which Open's lockstep
         // check must catch and rebuild.
         KillPoint{faults::kSidStoreWrite, FaultKind::kPermanent,
-                  "sid_store_write"}),
+                  "sid_store_write", "10-"}),
     [](const ::testing::TestParamInfo<KillPoint>& info) {
       return info.param.label;
     });
