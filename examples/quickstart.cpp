@@ -65,9 +65,10 @@ int main() {
                 static_cast<long long>(user.uid), user.score);
   }
   std::printf(
-      "stats: %zu cover cells, %zu candidates, %zu threads built, "
+      "stats: %zu cover cells, %zu candidates, %llu phi reads, "
       "%.2f ms\n",
       result->stats.cover_cells, result->stats.candidates,
-      result->stats.threads_built, result->stats.elapsed_ms);
+      static_cast<unsigned long long>(result->stats.phi_tracker_reads),
+      result->stats.elapsed_ms);
   return 0;
 }

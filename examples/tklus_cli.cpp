@@ -168,9 +168,10 @@ int Query(const std::map<std::string, std::string>& flags) {
                 static_cast<long long>(user.uid), user.score);
   }
   std::printf(
-      "(%zu cells, %zu candidates, %zu threads built, %zu pruned, "
-      "%.2f ms)\n",
+      "(%zu cells, %zu candidates, %llu phi reads, %zu threads built, "
+      "%zu pruned, %.2f ms)\n",
       result->stats.cover_cells, result->stats.candidates,
+      static_cast<unsigned long long>(result->stats.phi_tracker_reads),
       result->stats.threads_built, result->stats.threads_pruned,
       result->stats.elapsed_ms);
   return 0;

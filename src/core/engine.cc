@@ -226,6 +226,7 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Build(
     hot_stems.push_back(term);
   }
   engine->tracker_.SetHotTerms(hot_stems);
+  engine->tracker_.Reserve(dataset.size());
   // Track posts in timestamp order (parents precede replies).
   std::vector<const Post*> ordered;
   ordered.reserve(dataset.size());
@@ -270,7 +271,9 @@ void TkLusEngine::FinishConstruction() {
   processor_ = std::make_unique<QueryProcessor>(
       index_.get(), db_.get(), &bounds_, &user_locations_,
       Tokenizer(options_.tokenizer), proc_options);
-  if (options_.popularity_cache_entries > 0) {
+  if (!options_.alg1_thread_construction) {
+    processor_->set_thread_tracker(&tracker_);
+  } else if (options_.popularity_cache_entries > 0) {
     popularity_cache_ = std::make_unique<PopularityCache>(
         PopularityCache::Options{options_.popularity_cache_entries});
     processor_->set_popularity_cache(popularity_cache_.get());
@@ -294,6 +297,10 @@ void TkLusEngine::FinishConstruction() {
   sid_store_bytes_gauge_ = reg.GetGauge(
       "tklus_sid_store_bytes",
       "Resident bytes of the denormalized sid store's slot arrays.");
+  tracker_bytes_gauge_ = reg.GetGauge(
+      "tklus_thread_tracker_bytes",
+      "Resident bytes of the thread tracker's per-post columns (parent, "
+      "hot mask, per-level reply counts).");
   UpdateDeltaGaugesLocked();
   StartMergeThread();
 }
@@ -319,6 +326,7 @@ void TkLusEngine::UpdateDeltaGaugesLocked() {
   sid_store_entries_gauge_->Set(
       static_cast<int64_t>(sid_store_->entry_count()));
   sid_store_bytes_gauge_->Set(static_cast<int64_t>(sid_store_->size_bytes()));
+  tracker_bytes_gauge_->Set(static_cast<int64_t>(tracker_.size_bytes()));
 }
 
 Status TkLusEngine::AppendBatch(const Dataset& batch) {
@@ -661,23 +669,21 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Open(const std::string& dir,
     return Status::Corruption("truncated engine image header");
   }
   engine->options_.thread_depth = static_cast<int>(depth);
+  // The bounds section is what earlier readers use; bounds_ is set from
+  // the loaded tracker below.
   double global_bound = 0;
   uint64_t hot_count = 0;
   if (!serde::ReadDouble(in, &global_bound) ||
       !serde::ReadU64(in, &hot_count)) {
     return Status::Corruption("truncated engine image bounds");
   }
-  std::unordered_map<std::string, double> hot_bounds;
   for (uint64_t i = 0; i < hot_count; ++i) {
     std::string term;
     double bound = 0;
     if (!serde::ReadString(in, &term) || !serde::ReadDouble(in, &bound)) {
       return Status::Corruption("truncated engine image hot bound");
     }
-    hot_bounds.emplace(std::move(term), bound);
   }
-  engine->bounds_ =
-      UpperBoundRegistry::FromParts(global_bound, std::move(hot_bounds));
   uint64_t user_count = 0;
   if (!serde::ReadU64(in, &user_count)) {
     return Status::Corruption("truncated engine image profiles");
@@ -740,10 +746,11 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Open(const std::string& dir,
       ++replayed_posts;
     }
   }
-  if (replayed_posts > 0) {
-    engine->bounds_ = UpperBoundRegistry::FromParts(
-        engine->tracker_.global_bound(), engine->tracker_.HotBounds());
-  }
+  // From the tracker even without a replay: Load re-derived its bounds
+  // from the same φ evaluation the queries read, which an image written
+  // before the per-level counts can miss in the last bit.
+  engine->bounds_ = UpperBoundRegistry::FromParts(
+      engine->tracker_.global_bound(), engine->tracker_.HotBounds());
   const Wal::RecoveryInfo& info = engine->wal_->recovery_info();
   MetricsRegistry::Global()
       .GetCounter("tklus_wal_recovered_records_total",
@@ -851,6 +858,7 @@ void TkLusEngine::RecordQueryObservability(const char* kind,
     record.threads_built = stats.threads_built;
     record.popularity_cache_hits = stats.popularity_cache_hits;
     record.popularity_cache_misses = stats.popularity_cache_misses;
+    record.phi_tracker_reads = stats.phi_tracker_reads;
     slow_log_->Record(std::move(record));
   }
 }

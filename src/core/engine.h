@@ -67,9 +67,10 @@ namespace tklus {
 // metadata DB's buffer pool is internally latched, page *contents* are
 // read-only between folds (Insert — the only mutator — runs under the
 // exclusive lock during a fold commit), the hybrid index snapshots its
-// forward-index state under its own lock, the DFS has its own mutex, and
-// the popularity cache is sharded-lock thread-safe with generation-based
-// invalidation on append. The component accessors (index(),
+// forward-index state under its own lock, the DFS has its own mutex, the
+// thread tracker changes only under the exclusive lock, and the Alg. 1
+// mode's popularity cache is sharded-lock thread-safe with generation-
+// based invalidation on append. The component accessors (index(),
 // metadata_db(), dfs(), ...) bypass the lock and are for benchmarks/tests
 // on a quiescent engine only.
 //
@@ -102,9 +103,19 @@ class TkLusEngine {
     FaultInjector* fault_injector = nullptr;
     RetryPolicy dfs_retry;
     int max_task_attempts = 4;
-    // Capacity (entries) of the engine-owned φ(p) memo shared across
+    // Where queries take thread popularity φ (Def. 4) from. Off (the
+    // default): the ThreadTracker maintains φ for every post at ingest,
+    // and ranking reads it per candidate — no thread construction, no
+    // metadata-DB I/O. On: Algorithm 1 — each candidate's thread is
+    // rebuilt by rsid descents through the metadata DB (and the delta),
+    // behind the φ memo below. The paper-figure benches (Figs. 8-12
+    // measure Alg. 1's I/O) and the test oracles turn it on; both modes
+    // return bit-identical φ. ShardedEngine rejects it.
+    bool alg1_thread_construction = false;
+    // Capacity (entries) of the Alg. 1 mode's φ(p) memo, shared across
     // queries; AppendBatch invalidates it wholesale via a generation
     // bump. 0 disables the cache (every query rebuilds every thread).
+    // Unused when alg1_thread_construction is off.
     size_t popularity_cache_entries = 1 << 16;
     // Observability: queries slower than `slow_query_ms` land in the
     // engine's slow-query ring (slow_query_log()); <= 0 disables it.
@@ -200,6 +211,9 @@ class TkLusEngine {
   // Component access for benchmarks, ablations and tests. These bypass
   // mu_ (hence the analysis opt-outs): callers must ensure no concurrent
   // AppendBatch/Query is in flight.
+  const ThreadTracker& thread_tracker() const TKLUS_NO_THREAD_SAFETY_ANALYSIS {
+    return tracker_;
+  }
   const HybridIndex& index() const { return *index_; }
   MetadataDb& metadata_db() { return *db_; }
   const UpperBoundRegistry& bounds() const TKLUS_NO_THREAD_SAFETY_ANALYSIS {
@@ -242,8 +256,8 @@ class TkLusEngine {
   void FinishConstruction() TKLUS_REQUIRES(mu_);
 
   // Absorbs one post into the delta index and every derived in-memory
-  // structure (graph, tracker, vocabulary, profiles, watermark). The
-  // caller recomputes bounds_ once per batch.
+  // structure (tracker, vocabulary, profiles, watermark). The caller
+  // recomputes bounds_ once per batch.
   void ApplyPostLocked(const Post& post, const Tokenizer& tokenizer)
       TKLUS_REQUIRES(mu_);
 
@@ -293,9 +307,10 @@ class TkLusEngine {
   int64_t max_sid_ TKLUS_GUARDED_BY(mu_) = INT64_MIN;
   std::unordered_map<UserId, std::vector<GeoPoint>> user_locations_
       TKLUS_GUARDED_BY(mu_);
-  // φ(p) memo shared by all concurrent queries; internally thread-safe
-  // (sharded locks), invalidated by AppendBatch's generation bump.
-  // Null when Options::popularity_cache_entries == 0.
+  // Alg. 1 mode's φ(p) memo shared by all concurrent queries; internally
+  // thread-safe (sharded locks), invalidated by AppendBatch's generation
+  // bump. Null unless Options::alg1_thread_construction is on and
+  // Options::popularity_cache_entries > 0.
   std::unique_ptr<PopularityCache> popularity_cache_;
   std::unique_ptr<QueryProcessor> processor_;
   // Internally mutexed; recorded to outside mu_ after each query.
@@ -320,6 +335,7 @@ class TkLusEngine {
   Counter* delta_merges_total_ = nullptr;
   Gauge* sid_store_entries_gauge_ = nullptr;
   Gauge* sid_store_bytes_gauge_ = nullptr;
+  Gauge* tracker_bytes_gauge_ = nullptr;
 };
 
 }  // namespace tklus

@@ -111,12 +111,16 @@ struct QueryStats {
   size_t within_radius = 0;
   size_t threads_built = 0;
   size_t threads_pruned = 0;    // Alg. 5 line 19 skips
-  // Engine popularity-cache traffic for this query: hits are candidates
-  // whose φ(p) was served memoized (no thread construction, no rsid
-  // descents); misses were computed and installed. Both zero when the
-  // cache is disabled.
+  // Engine popularity-cache traffic for this query (Alg. 1 mode): hits
+  // are candidates whose φ(p) was served memoized (no thread
+  // construction, no rsid descents); misses were computed and installed.
+  // Both zero when the cache is disabled or φ comes from the tracker.
   uint64_t popularity_cache_hits = 0;
   uint64_t popularity_cache_misses = 0;
+  // Candidates whose φ(p) was read from the ingest-time ThreadTracker (the
+  // default φ source; zero in the Alg. 1 mode, where threads_built and the
+  // cache counters above account for φ instead).
+  uint64_t phi_tracker_reads = 0;
   // sid_resolve traffic split: candidates served by the O(1) SidStore vs
   // rows that had to fall back to the metadata DB's B+-tree (neither the
   // store nor the delta overlay held the sid). Fallback rows are zero in

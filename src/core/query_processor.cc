@@ -174,20 +174,32 @@ void FillMetasFromDelta(const DeltaIndex* delta,
 
 }  // namespace
 
-void QueryProcessor::AttachChildrenSources(ThreadBuilder& builder) const {
-  // Hook the builder only when a source can actually contribute: attaching
-  // one turns on per-level dedup, and the single-engine no-delta path must
-  // keep its historical (hook-free) traversal byte-for-byte.
-  const DeltaIndex* delta =
-      (delta_ != nullptr && !delta_->empty()) ? delta_ : nullptr;
-  const ThreadBuilder::ExtraChildrenFn* extra =
-      extra_children_ ? &extra_children_ : nullptr;
-  if (delta == nullptr && extra == nullptr) return;
-  builder.set_extra_children(
-      [delta, extra](TweetId sid, std::vector<TweetId>* out) {
-        if (delta != nullptr) delta->AppendChildren(sid, out);
-        if (extra != nullptr) (*extra)(sid, out);
-      });
+ThreadBuilder QueryProcessor::MakeThreadBuilder() const {
+  ThreadBuilder builder(
+      db_, ThreadBuilder::Options{options_.thread_depth,
+                                  options_.scoring.epsilon});
+  // Hook the builder only when the delta can actually contribute:
+  // attaching a source turns on per-level dedup, and the no-delta path
+  // keeps its historical (hook-free) traversal byte-for-byte.
+  if (delta_ != nullptr && !delta_->empty()) {
+    const DeltaIndex* delta = delta_;
+    builder.set_extra_children([delta](TweetId sid, std::vector<TweetId>* out) {
+      delta->AppendChildren(sid, out);
+    });
+  }
+  return builder;
+}
+
+Status QueryProcessor::CheckTrackerDepth() const {
+  if (tracker_ == nullptr ||
+      tracker_->options().max_depth == options_.thread_depth) {
+    return Status::Ok();
+  }
+  return Status::InvalidArgument(
+      "thread_depth " + std::to_string(options_.thread_depth) +
+      " differs from the thread tracker's depth cap " +
+      std::to_string(tracker_->options().max_depth) +
+      " (φ is maintained at ingest for one depth)");
 }
 
 Status QueryProcessor::ValidateQuery(const TkLusQuery& query,
@@ -370,6 +382,10 @@ double QueryProcessor::FinalScore(const UserState& state,
 Result<double> QueryProcessor::Popularity(TweetId root_sid,
                                           ThreadBuilder& builder,
                                           QueryStats& stats) {
+  if (tracker_ != nullptr) {
+    ++stats.phi_tracker_reads;
+    return tracker_->Popularity(root_sid, options_.scoring.epsilon);
+  }
   if (popularity_cache_ != nullptr) {
     const std::optional<double> cached = popularity_cache_->Get(
         root_sid, options_.thread_depth, options_.scoring.epsilon);
@@ -399,9 +415,8 @@ Status QueryProcessor::RankUsers(const TkLusQuery& query,
                                  Tracer& tracer,
                                  std::vector<RankedUser>* out_users,
                                  QueryStats* stats) {
-  ThreadBuilder thread_builder(
-      db_, ThreadBuilder::Options{options_.thread_depth,
-                                  options_.scoring.epsilon});
+  TKLUS_RETURN_IF_ERROR(CheckTrackerDepth());
+  ThreadBuilder thread_builder = MakeThreadBuilder();
   const bool pruned_mode =
       query.ranking == Ranking::kMax && options_.enable_pruning;
   const double bound_popularity = bounds_->QueryBound(
@@ -410,7 +425,6 @@ Status QueryProcessor::RankUsers(const TkLusQuery& query,
   std::unordered_map<UserId, UserState> users;
   TopKTracker tracker(query.k);
 
-  AttachChildrenSources(thread_builder);
   StageScope thread_stage(tracer, stage::kThreadConstruction, db_, index_);
   for (const ResolvedCandidate& candidate : candidates) {
     const Posting& posting = candidate.posting;
@@ -463,6 +477,8 @@ Status QueryProcessor::RankUsers(const TkLusQuery& query,
   thread_stage.span().AddCounter("within_radius", stats->within_radius);
   thread_stage.span().AddCounter("threads_built", stats->threads_built);
   thread_stage.span().AddCounter("threads_pruned", stats->threads_pruned);
+  thread_stage.span().AddCounter("phi_tracker_reads",
+                                 stats->phi_tracker_reads);
   thread_stage.span().AddCounter("popularity_cache_hits",
                                  stats->popularity_cache_hits);
   thread_stage.span().AddCounter("popularity_cache_misses",
@@ -546,10 +562,8 @@ Status QueryProcessor::RankTweets(const TkLusQuery& query,
                                   Tracer& tracer,
                                   std::vector<RankedTweet>* out_tweets,
                                   QueryStats* stats) {
-  ThreadBuilder thread_builder(
-      db_, ThreadBuilder::Options{options_.thread_depth,
-                                  options_.scoring.epsilon});
-  AttachChildrenSources(thread_builder);
+  TKLUS_RETURN_IF_ERROR(CheckTrackerDepth());
+  ThreadBuilder thread_builder = MakeThreadBuilder();
   StageScope thread_stage(tracer, stage::kThreadConstruction, db_, index_);
   for (const ResolvedCandidate& candidate : candidates) {
     const Posting& posting = candidate.posting;
@@ -572,6 +586,8 @@ Status QueryProcessor::RankTweets(const TkLusQuery& query,
   }
   thread_stage.span().AddCounter("within_radius", stats->within_radius);
   thread_stage.span().AddCounter("threads_built", stats->threads_built);
+  thread_stage.span().AddCounter("phi_tracker_reads",
+                                 stats->phi_tracker_reads);
   thread_stage.span().AddCounter("popularity_cache_hits",
                                  stats->popularity_cache_hits);
   thread_stage.span().AddCounter("popularity_cache_misses",

@@ -11,6 +11,7 @@
 #include "core/bounds.h"
 #include "core/query.h"
 #include "core/scoring.h"
+#include "core/thread_tracker.h"
 #include "geo/point.h"
 #include "index/delta_index.h"
 #include "index/hybrid_index.h"
@@ -55,8 +56,8 @@ class QueryProcessor {
   // score (the average of delta(p, q) over *all* of u's posts).
   // `index` and `db` may both be nullptr for a ranking-only processor
   // (the ShardedEngine plane): Process/ProcessTweets/FetchCandidates are
-  // then off-limits, RankUsers/RankTweets fully functional with thread
-  // descents served by the extra-children hook.
+  // then off-limits, RankUsers/RankTweets fully functional with φ read
+  // from the attached thread tracker.
   QueryProcessor(const HybridIndex* index, MetadataDb* db,
                  const UpperBoundRegistry* bounds,
                  const std::unordered_map<UserId, std::vector<GeoPoint>>*
@@ -100,11 +101,13 @@ class QueryProcessor {
 
   // The user-ranking half (Alg. 4/5 lines 16-29): distance filter, thread
   // popularity, per-user aggregation with Alg. 5 pruning, final sort and
-  // top-k cut. Touches only bounds_/user_locations_/popularity cache plus
-  // the thread-descent sources (DB/delta/extra hook), so a processor
-  // wired with a null index and DB — the ShardedEngine's ranking plane —
-  // can run it over candidates merged from many shards. Appends into
-  // `users` and accumulates into `stats`.
+  // top-k cut. Touches only bounds_/user_locations_ and the φ source (the
+  // thread tracker, or Alg. 1 over the DB/delta behind the popularity
+  // cache), so a processor wired with a null index and DB and a tracker —
+  // the ShardedEngine's ranking plane — can run it over candidates merged
+  // from many shards. Appends into `users` and accumulates into `stats`.
+  // Fails with InvalidArgument when options().thread_depth differs from
+  // the attached tracker's depth cap.
   Status RankUsers(const TkLusQuery& query,
                    const std::vector<std::string>& terms,
                    const std::vector<ResolvedCandidate>& candidates,
@@ -125,8 +128,16 @@ class QueryProcessor {
   const Options& options() const { return options_; }
   Options& mutable_options() { return options_; }
 
-  // Attaches the engine-owned φ(p) memo (nullptr detaches: every thread is
-  // rebuilt). The cache must outlive the processor.
+  // Attaches the owner's ingest-time φ source (nullptr detaches). When set,
+  // thread popularity is an array read from the tracker with this
+  // processor's ε, and Alg. 1 (ThreadBuilder, the popularity cache) is not
+  // used; a query whose thread_depth differs from the tracker's depth cap
+  // fails with InvalidArgument rather than answer for another d.
+  void set_thread_tracker(const ThreadTracker* tracker) { tracker_ = tracker; }
+
+  // Attaches the engine-owned φ(p) memo for Alg. 1 (nullptr detaches: every
+  // thread is rebuilt). Unused while a thread tracker is attached. The
+  // cache must outlive the processor.
   void set_popularity_cache(PopularityCache* cache) { popularity_cache_ = cache; }
   PopularityCache* popularity_cache() const { return popularity_cache_; }
 
@@ -145,14 +156,6 @@ class QueryProcessor {
   // page reads on the common path.
   void set_sid_store(const SidStore* store) { sid_store_ = store; }
   const SidStore* sid_store() const { return sid_store_; }
-
-  // Attaches an extra reply-children source consulted by thread
-  // construction in addition to the metadata DB and the delta index — the
-  // ShardedEngine plane's global children map. Composes with the delta
-  // hook; levels are deduplicated whenever any extra source is attached.
-  void set_extra_children_source(ThreadBuilder::ExtraChildrenFn fn) {
-    extra_children_ = std::move(fn);
-  }
 
  private:
   struct UserState {
@@ -179,14 +182,20 @@ class QueryProcessor {
   double UserDistanceScore(UserId uid, const TkLusQuery& query) const;
   double FinalScore(const UserState& state, Ranking ranking) const;
 
-  // φ(root_sid) through the cache when attached (counting hits/misses and
-  // threads_built into `stats`), else straight through `builder`.
+  // φ(root_sid): from the thread tracker when attached (counting
+  // phi_tracker_reads), else Alg. 1 through the cache when attached
+  // (counting hits/misses and threads_built into `stats`), else straight
+  // through `builder`.
   Result<double> Popularity(TweetId root_sid, ThreadBuilder& builder,
                             QueryStats& stats);
 
-  // Wires every attached reply-children source (delta index, extra hook)
-  // into `builder` for the ranking-half thread descents.
-  void AttachChildrenSources(ThreadBuilder& builder) const;
+  // InvalidArgument when a tracker is attached whose depth cap is not
+  // options_.thread_depth.
+  Status CheckTrackerDepth() const;
+
+  // Alg. 1 builder for the ranking half, with the delta index wired in as
+  // a reply-children source when it holds posts.
+  ThreadBuilder MakeThreadBuilder() const;
 
   const HybridIndex* index_;
   MetadataDb* db_;
@@ -194,10 +203,10 @@ class QueryProcessor {
   const std::unordered_map<UserId, std::vector<GeoPoint>>* user_locations_;
   Tokenizer tokenizer_;
   Options options_;
+  const ThreadTracker* tracker_ = nullptr;        // optional, owner-owned
   PopularityCache* popularity_cache_ = nullptr;  // optional, engine-owned
   const DeltaIndex* delta_ = nullptr;            // optional, engine-owned
   const SidStore* sid_store_ = nullptr;          // optional, engine-owned
-  ThreadBuilder::ExtraChildrenFn extra_children_;  // optional, owner-provided
 };
 
 }  // namespace tklus

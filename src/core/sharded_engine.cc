@@ -19,7 +19,11 @@ namespace tklus {
 
 namespace {
 
-constexpr uint64_t kRouterMagic = 0x7274527375754b54ULL;  // "TkLusRtr"
+// Router image format. v2 dropped v1's trailing reply-children section:
+// the plane reads φ from its thread tracker and keeps no reply edges.
+// Open reads both.
+constexpr uint64_t kRouterMagicV1 = 0x7274527375754b54ULL;
+constexpr uint64_t kRouterMagic = 0x3274527375754b54ULL;
 constexpr char kRouterFile[] = "/router.bin";
 
 std::string MakeTempShardedDir() {
@@ -58,6 +62,15 @@ std::vector<ResolvedCandidate> MergeCandidateStreams(
   return merged;
 }
 
+// The plane ranks with φ from its thread tracker; it holds no metadata DB
+// for Alg. 1 to descend.
+Status RejectAlg1Mode(const TkLusEngine::Options& shard) {
+  if (!shard.alg1_thread_construction) return Status::Ok();
+  return Status::InvalidArgument(
+      "ShardedEngine ranks at its plane, which reads φ from its thread "
+      "tracker; alg1_thread_construction needs a TkLusEngine");
+}
+
 struct ShardedMetricFamilies {
   Counter* queries;
   Counter* shard_failures;
@@ -85,31 +98,12 @@ std::string ShardedEngine::ShardDir(int shard) const {
   return options_.working_dir + "/shard_" + std::to_string(shard);
 }
 
-void ShardedEngine::AppendPlaneChildren(TweetId sid,
-                                        std::vector<TweetId>* out) const {
-  const auto it = children_.find(sid);
-  if (it == children_.end()) return;
-  out->insert(out->end(), it->second.begin(), it->second.end());
-}
-
 void ShardedEngine::AbsorbPostLocked(const Post& post,
                                      const Tokenizer& tokenizer) {
   const std::vector<std::string> terms = tokenizer.Tokenize(post.text);
   tracker_.AddPost(post, terms);
   for (const std::string& term : terms) {
     vocabulary_.Add(term);
-  }
-  if (post.IsReplyOrForward()) {
-    // Same ordering discipline as SocialGraph::AddPost: appends arrive in
-    // ascending sid order, out-of-order inserts fall back to sorted
-    // insertion.
-    auto& kids = children_[post.rsid];
-    if (kids.empty() || kids.back() < post.sid) {
-      kids.push_back(post.sid);
-    } else {
-      kids.insert(std::upper_bound(kids.begin(), kids.end(), post.sid),
-                  post.sid);
-    }
   }
   if (post.HasLocation()) {
     user_locations_[post.uid].push_back(post.location);
@@ -122,19 +116,11 @@ void ShardedEngine::FinishConstruction() {
   proc_options.scoring = options_.shard.scoring;
   proc_options.thread_depth = options_.shard.thread_depth;
   // Null index/db: the plane never fetches — it only ranks candidate
-  // streams the shards fetched. Thread descents run over children_.
+  // streams the shards fetched, reading φ from the plane's tracker.
   processor_ = std::make_unique<QueryProcessor>(
       nullptr, nullptr, &bounds_, &user_locations_,
       Tokenizer(options_.shard.tokenizer), proc_options);
-  if (options_.shard.popularity_cache_entries > 0) {
-    popularity_cache_ = std::make_unique<PopularityCache>(
-        PopularityCache::Options{options_.shard.popularity_cache_entries});
-    processor_->set_popularity_cache(popularity_cache_.get());
-  }
-  processor_->set_extra_children_source(
-      [this](TweetId sid, std::vector<TweetId>* out) {
-        AppendPlaneChildren(sid, out);
-      });
+  processor_->set_thread_tracker(&tracker_);
   const ShardedMetricFamilies& families = ShardedMetricFamilies::Get();
   sharded_queries_total_ = families.queries;
   shard_failures_total_ = families.shard_failures;
@@ -145,6 +131,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
   if (options.num_shards < 1) {
     return Status::InvalidArgument("num_shards must be >= 1");
   }
+  TKLUS_RETURN_IF_ERROR(RejectAlg1Mode(options.shard));
   auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine());
   if (options.working_dir.empty()) {
     options.working_dir = MakeTempShardedDir();
@@ -171,6 +158,7 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
       hot_stems.push_back(term);
     }
     engine->tracker_.SetHotTerms(hot_stems);
+    engine->tracker_.Reserve(dataset.size());
     std::vector<const Post*> ordered;
     ordered.reserve(dataset.size());
     for (const Post& p : dataset.posts()) ordered.push_back(&p);
@@ -178,9 +166,6 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
               [](const Post* a, const Post* b) { return a->sid < b->sid; });
     for (const Post* p : ordered) {
       engine->tracker_.AddPost(*p, tokenizer.Tokenize(p->text));
-      if (p->IsReplyOrForward()) {
-        engine->children_[p->rsid].push_back(p->sid);  // sid order: sorted
-      }
       if (p->HasLocation()) {
         engine->user_locations_[p->uid].push_back(p->location);
       }
@@ -257,7 +242,6 @@ Status ShardedEngine::AppendBatch(const Dataset& batch) {
   // fsync before OK).
   const Tokenizer tokenizer(options_.shard.tokenizer);
   WriterMutexLock lock(&plane_mu_);
-  if (popularity_cache_) popularity_cache_->Invalidate();
   for (const Post& p : batch.posts()) {
     AbsorbPostLocked(p, tokenizer);
   }
@@ -312,12 +296,6 @@ Status ShardedEngine::SerializePlane(std::string* payload) const {
   }
   serde::WriteI64(out, max_sid_);
   tracker_.Save(out);
-  serde::WriteU64(out, children_.size());
-  for (const auto& [parent, kids] : children_) {
-    serde::WriteI64(out, parent);
-    serde::WriteU64(out, kids.size());
-    for (const TweetId kid : kids) serde::WriteI64(out, kid);
-  }
   if (!out) return Status::IoError("short write saving router.bin");
   *payload = out.str();
   return Status::Ok();
@@ -349,6 +327,7 @@ Status ShardedEngine::MergeAllNow() {
 
 Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     const std::string& dir, Options options) {
+  TKLUS_RETURN_IF_ERROR(RejectAlg1Mode(options.shard));
   auto engine = std::unique_ptr<ShardedEngine>(new ShardedEngine());
   options.working_dir = dir;
   engine->owns_working_dir_ = false;
@@ -359,7 +338,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
   {
     WriterMutexLock lock(&engine->plane_mu_);
     uint64_t magic = 0;
-    if (!serde::ReadU64(in, &magic) || magic != kRouterMagic) {
+    if (!serde::ReadU64(in, &magic) ||
+        (magic != kRouterMagic && magic != kRouterMagicV1)) {
       return Status::Corruption("not a sharded router image");
     }
     uint64_t num_shards = 0, depth = 0;
@@ -375,23 +355,21 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     }
     options.num_shards = static_cast<int>(num_shards);
     options.shard.thread_depth = static_cast<int>(depth);
+    // As in engine.bin, the saved bounds serve earlier readers; bounds_
+    // is set from the loaded tracker below.
     double global_bound = 0;
     uint64_t hot_count = 0;
     if (!serde::ReadDouble(in, &global_bound) ||
         !serde::ReadU64(in, &hot_count)) {
       return Status::Corruption("truncated router image bounds");
     }
-    std::unordered_map<std::string, double> hot_bounds;
     for (uint64_t i = 0; i < hot_count; ++i) {
       std::string term;
       double bound = 0;
       if (!serde::ReadString(in, &term) || !serde::ReadDouble(in, &bound)) {
         return Status::Corruption("truncated router image hot bound");
       }
-      hot_bounds.emplace(std::move(term), bound);
     }
-    engine->bounds_ =
-        UpperBoundRegistry::FromParts(global_bound, std::move(hot_bounds));
     uint64_t user_count = 0;
     if (!serde::ReadU64(in, &user_count)) {
       return Status::Corruption("truncated router image profiles");
@@ -427,21 +405,23 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
       return Status::Corruption("truncated router image watermark");
     }
     TKLUS_RETURN_IF_ERROR(engine->tracker_.Load(in));
-    uint64_t parent_count = 0;
-    if (!serde::ReadU64(in, &parent_count)) {
-      return Status::Corruption("truncated router image children");
-    }
-    for (uint64_t p = 0; p < parent_count; ++p) {
-      int64_t parent = 0;
-      uint64_t n = 0;
-      if (!serde::ReadI64(in, &parent) || !serde::ReadU64(in, &n)) {
-        return Status::Corruption("truncated router image children entry");
+    if (magic == kRouterMagicV1) {
+      // v1's reply-children section: the tracker's parent links carry the
+      // same edges, so it is read past and dropped.
+      uint64_t parent_count = 0;
+      if (!serde::ReadU64(in, &parent_count)) {
+        return Status::Corruption("truncated router image children");
       }
-      auto& kids = engine->children_[parent];
-      kids.resize(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        if (!serde::ReadI64(in, &kids[i])) {
-          return Status::Corruption("truncated router image child sid");
+      for (uint64_t p = 0; p < parent_count; ++p) {
+        int64_t parent = 0, kid = 0;
+        uint64_t n = 0;
+        if (!serde::ReadI64(in, &parent) || !serde::ReadU64(in, &n)) {
+          return Status::Corruption("truncated router image children entry");
+        }
+        for (uint64_t i = 0; i < n; ++i) {
+          if (!serde::ReadI64(in, &kid)) {
+            return Status::Corruption("truncated router image child sid");
+          }
         }
       }
     }
@@ -491,10 +471,8 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Open(
     for (const Post& p : pending.posts()) {
       engine->AbsorbPostLocked(p, tokenizer);
     }
-    if (pending.size() > 0) {
-      engine->bounds_ = UpperBoundRegistry::FromParts(
-          engine->tracker_.global_bound(), engine->tracker_.HotBounds());
-    }
+    engine->bounds_ = UpperBoundRegistry::FromParts(
+        engine->tracker_.global_bound(), engine->tracker_.HotBounds());
     engine->FinishConstruction();
   }
   return engine;

@@ -18,7 +18,6 @@
 #include "core/thread_tracker.h"
 #include "model/dataset.h"
 #include "obs/metrics.h"
-#include "social/popularity_cache.h"
 #include "text/vocabulary.h"
 
 namespace tklus {
@@ -55,7 +54,7 @@ struct ShardedTweetQueryResult {
 // (ShardRouter, FNV-1a mod N), and a post lives in the shard owning its
 // cell, so each shard is a complete, self-contained TkLusEngine over its
 // slice — own metadata DB + buffer pool, own hybrid index + DFS, own
-// WAL + delta index, own SidStore, popularity cache and SharedMutex.
+// WAL + delta index, own SidStore and SharedMutex.
 // Appends route sub-batches to owning shards and ack only after every
 // owning shard's WAL fsync; queries compute the circle's cover once (the
 // same ComputeCover as the single engine), fan out only to shards owning
@@ -69,11 +68,14 @@ struct ShardedTweetQueryResult {
 // sequence, and the single engine's own ranking loop (QueryProcessor::
 // RankUsers, with the Alg. 5 bound pruning driven by this router's global
 // UpperBoundRegistry) runs over it at the router's "plane". The plane
-// mirrors the global social state the ranking needs — reply children map,
-// thread tracker (φ and exact bounds), user location profiles (Def. 9),
-// vocabulary and sid watermark — maintained on every append exactly like
-// a single engine's. Differential oracle + the golden corpus pin
-// ShardedEngine(N) ≡ TkLusEngine byte-for-byte for N ∈ {1,2,4,8}.
+// mirrors the global social state the ranking needs — thread tracker (φ
+// and exact bounds), user location profiles (Def. 9), vocabulary and sid
+// watermark — maintained on every append exactly like a single engine's.
+// φ is read from the plane's tracker; the Alg. 1 mode
+// (TkLusEngine::Options::alg1_thread_construction) is rejected with
+// InvalidArgument, since the plane holds no metadata DB to descend.
+// Differential oracle + the golden corpus pin ShardedEngine(N) ≡
+// TkLusEngine byte-for-byte for N ∈ {1,2,4,8}.
 //
 // Append visibility: the whole absorb (plane, then every owning shard)
 // holds plane_mu_ exclusively while queries hold it shared across their
@@ -166,17 +168,12 @@ class ShardedEngine {
  private:
   ShardedEngine() : router_(1) {}
 
-  // Shared tail of Build/Open: plane processor + cache + metrics.
+  // Shared tail of Build/Open: plane processor + metrics.
   void FinishConstruction() TKLUS_REQUIRES(plane_mu_);
   // Absorbs one post into every plane structure except bounds (the caller
   // recomputes bounds_ once per batch).
   void AbsorbPostLocked(const Post& post, const Tokenizer& tokenizer)
       TKLUS_REQUIRES(plane_mu_);
-  // Reply-children lookup for plane thread descents. Runs inside
-  // RankUsers/RankTweets while Query holds plane_mu_ shared — the
-  // annotation can't follow the std::function indirection.
-  void AppendPlaneChildren(TweetId sid, std::vector<TweetId>* out) const
-      TKLUS_NO_THREAD_SAFETY_ANALYSIS;
 
   std::string ShardDir(int shard) const;
   Status SerializePlane(std::string* payload) const
@@ -196,8 +193,6 @@ class ShardedEngine {
   mutable SharedMutex plane_mu_{lockrank::kShardedPlaneMu, "plane_mu_"};
 
   // Global social plane: what RankUsers needs beyond the candidates.
-  std::unordered_map<TweetId, std::vector<TweetId>> children_
-      TKLUS_GUARDED_BY(plane_mu_);
   ThreadTracker tracker_ TKLUS_GUARDED_BY(plane_mu_);
   UpperBoundRegistry bounds_ TKLUS_GUARDED_BY(plane_mu_);
   Vocabulary vocabulary_ TKLUS_GUARDED_BY(plane_mu_);
@@ -205,7 +200,6 @@ class ShardedEngine {
       TKLUS_GUARDED_BY(plane_mu_);
   int64_t max_sid_ TKLUS_GUARDED_BY(plane_mu_) = INT64_MIN;
 
-  std::unique_ptr<PopularityCache> popularity_cache_;
   std::unique_ptr<QueryProcessor> processor_;
 
   // Cached metric handles (process-global families).

@@ -82,7 +82,9 @@ void SlowQueryLog::DumpJsonLines(std::ostream& out) const {
             ", \"popularity_cache_hits\": " +
             std::to_string(r.popularity_cache_hits) +
             ", \"popularity_cache_misses\": " +
-            std::to_string(r.popularity_cache_misses) + "}";
+            std::to_string(r.popularity_cache_misses) +
+            ", \"phi_tracker_reads\": " +
+            std::to_string(r.phi_tracker_reads) + "}";
     out << line << "\n";
   }
 }

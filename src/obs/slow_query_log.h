@@ -23,6 +23,7 @@ struct SlowQueryRecord {
   uint64_t threads_built = 0;
   uint64_t popularity_cache_hits = 0;
   uint64_t popularity_cache_misses = 0;
+  uint64_t phi_tracker_reads = 0;
 };
 
 // A bounded, thread-safe ring of the most recent slow queries. The

@@ -34,6 +34,10 @@ double ThreadPopularity(const ThreadShape& shape, double epsilon);
 // Constructs tweet threads level-by-level through MetadataDb's rsid index —
 // Algorithm 1. The depth cap `d` bounds the number of SELECT rounds ("a
 // thread depth d is always set to constrain the construction process").
+// A reply edge is followed only to a larger sid (replies are posted after
+// their parents), the rule ThreadTracker applies at ingest. Queries read
+// φ from the tracker; this path serves the Alg. 1 engine mode
+// (TkLusEngine::Options::alg1_thread_construction) and test oracles.
 class ThreadBuilder {
  public:
   struct Options {
@@ -47,9 +51,6 @@ class ThreadBuilder {
   // deduplicated by the builder.
   using ExtraChildrenFn = std::function<void(TweetId, std::vector<TweetId>*)>;
 
-  // `db` may be nullptr, in which case every reply edge must come from the
-  // extra-children hook (the ShardedEngine's ranking plane descends its
-  // global in-memory children map this way).
   ThreadBuilder(MetadataDb* db, Options options)
       : db_(db), options_(options) {}
   explicit ThreadBuilder(MetadataDb* db) : ThreadBuilder(db, Options{}) {}

@@ -72,7 +72,7 @@ TEST(ThreadTrackerTest, PopularityMatchesInMemoryShapes) {
     const TweetId sid = corpus.dataset.posts()[i].sid;
     const double expected = ThreadPopularity(
         BuildShapeInMemory(graph.children(), sid, 6), 0.1);
-    EXPECT_NEAR(tracker.Popularity(sid), expected, 1e-9) << "sid " << sid;
+    EXPECT_EQ(tracker.Popularity(sid), expected) << "sid " << sid;
   }
 }
 
@@ -111,11 +111,11 @@ TEST(ThreadTrackerTest, SaveLoadRoundTrip) {
   ThreadTracker restored;
   ASSERT_TRUE(restored.Load(buffer).ok());
   EXPECT_EQ(restored.tracked_posts(), tracker.tracked_posts());
-  EXPECT_DOUBLE_EQ(restored.global_bound(), tracker.global_bound());
+  EXPECT_EQ(restored.global_bound(), tracker.global_bound());
   EXPECT_EQ(restored.HotBounds(), tracker.HotBounds());
   for (size_t i = 0; i < corpus.dataset.size(); i += 101) {
     const TweetId sid = corpus.dataset.posts()[i].sid;
-    EXPECT_DOUBLE_EQ(restored.Popularity(sid), tracker.Popularity(sid));
+    EXPECT_EQ(restored.Popularity(sid), tracker.Popularity(sid));
   }
 }
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
 #include <filesystem>
+#include <ostream>
 
 #include "baseline/naive_scan.h"
+#include "byte_dump_name.h"
 #include "core/engine.h"
 #include "datagen/tweet_generator.h"
 
@@ -63,6 +67,18 @@ struct ParamCase {
   double n_norm;
   int depth;
 };
+static_assert(sizeof(ParamCase) == 24 && offsetof(ParamCase, depth) == 16);
+
+// Prints gtest's byte dump of the case — the name each case was first
+// recorded under — with the 4 padding bytes after `depth` pinned to zero.
+void PrintTo(const ParamCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(ParamCase)] = {};
+  std::memcpy(bytes + offsetof(ParamCase, alpha), &c.alpha, sizeof c.alpha);
+  std::memcpy(bytes + offsetof(ParamCase, n_norm), &c.n_norm,
+              sizeof c.n_norm);
+  std::memcpy(bytes + offsetof(ParamCase, depth), &c.depth, sizeof c.depth);
+  testing_util::PrintByteDump(bytes, sizeof bytes, os);
+}
 
 class ScoringOptionTest : public ::testing::TestWithParam<ParamCase> {};
 

@@ -175,7 +175,10 @@ Dataset PruningCorpus() {
 }
 
 TEST(PruningTest, HotBoundPrunesWeakSingletons) {
-  auto engine = TkLusEngine::Build(PruningCorpus());
+  // Alg. 1 mode: the counts below are threads constructed and memo hits.
+  TkLusEngine::Options options;
+  options.alg1_thread_construction = true;
+  auto engine = TkLusEngine::Build(PruningCorpus(), options);
   ASSERT_TRUE(engine.ok());
   TkLusQuery q;
   q.location = GeoPoint{10.0, 10.0};

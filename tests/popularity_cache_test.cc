@@ -82,6 +82,14 @@ TEST(PopularityCacheTest, DegenerateOptionsClamped) {
 
 // ------------------------------------------------------------ engine
 
+// The memo serves the Alg. 1 mode only; the default φ source (the
+// ingest-time ThreadTracker) never consults it.
+TkLusEngine::Options Alg1Options() {
+  TkLusEngine::Options options;
+  options.alg1_thread_construction = true;
+  return options;
+}
+
 // A corpus with reply threads whose φ matters to the ranking: users at
 // the query point with threads of different sizes.
 Dataset ThreadedCorpus(int extra_replies_per_root = 0) {
@@ -132,8 +140,8 @@ TkLusQuery CafeQuery() {
 }
 
 TEST(PopularityCacheEngineTest, CachedEqualsUncached) {
-  TkLusEngine::Options cached_opts;
-  TkLusEngine::Options uncached_opts;
+  TkLusEngine::Options cached_opts = Alg1Options();
+  TkLusEngine::Options uncached_opts = Alg1Options();
   uncached_opts.popularity_cache_entries = 0;
   auto cached = TkLusEngine::Build(ThreadedCorpus(), cached_opts);
   auto uncached = TkLusEngine::Build(ThreadedCorpus(), uncached_opts);
@@ -159,7 +167,7 @@ TEST(PopularityCacheEngineTest, CachedEqualsUncached) {
 }
 
 TEST(PopularityCacheEngineTest, CountersMoveColdThenWarm) {
-  auto engine = TkLusEngine::Build(ThreadedCorpus());
+  auto engine = TkLusEngine::Build(ThreadedCorpus(), Alg1Options());
   ASSERT_TRUE(engine.ok());
   const auto cold = (*engine)->Query(CafeQuery());
   ASSERT_TRUE(cold.ok());
@@ -180,7 +188,7 @@ TEST(PopularityCacheEngineTest, CountersMoveColdThenWarm) {
 }
 
 TEST(PopularityCacheEngineTest, AppendBatchInvalidatesStalePhi) {
-  auto engine = TkLusEngine::Build(ThreadedCorpus());
+  auto engine = TkLusEngine::Build(ThreadedCorpus(), Alg1Options());
   ASSERT_TRUE(engine.ok());
   // Warm the memo with pre-append φ values.
   ASSERT_TRUE((*engine)->Query(CafeQuery()).ok());
@@ -208,7 +216,7 @@ TEST(PopularityCacheEngineTest, AppendBatchInvalidatesStalePhi) {
   // Oracle: a fresh engine over the full corpus (same φ inputs, no cache
   // history). Post-append rankings must match it exactly — a stale memo
   // would keep serving the smaller pre-append φ.
-  auto oracle = TkLusEngine::Build(ThreadedCorpus(3));
+  auto oracle = TkLusEngine::Build(ThreadedCorpus(3), Alg1Options());
   ASSERT_TRUE(oracle.ok());
   const auto got = (*engine)->Query(CafeQuery());
   const auto want = (*oracle)->Query(CafeQuery());

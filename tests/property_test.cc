@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstring>
+#include <ostream>
 #include <set>
 #include <sstream>
 
 #include "baseline/rtree.h"
+#include "byte_dump_name.h"
 #include "common/rng.h"
 #include "common/serde.h"
 #include "core/kendall.h"
@@ -93,6 +97,18 @@ struct CoverCase {
   double radius_km;
   int length;
 };
+static_assert(sizeof(CoverCase) == 16 && offsetof(CoverCase, length) == 8);
+
+// Prints gtest's byte dump of the case — the name each case was first
+// recorded under — with the 4 padding bytes after `length` pinned to zero.
+void PrintTo(const CoverCase& c, std::ostream* os) {
+  unsigned char bytes[sizeof(CoverCase)] = {};
+  std::memcpy(bytes + offsetof(CoverCase, radius_km), &c.radius_km,
+              sizeof c.radius_km);
+  std::memcpy(bytes + offsetof(CoverCase, length), &c.length,
+              sizeof c.length);
+  testing_util::PrintByteDump(bytes, sizeof bytes, os);
+}
 
 class CircleCoverPropertyTest : public ::testing::TestWithParam<CoverCase> {};
 
