@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -175,6 +176,12 @@ Result<std::unique_ptr<TkLusEngine>> TkLusEngine::Build(
   // The denormalized sid table is populated in lockstep with the DB from
   // the start: every committed row lands in both.
   engine->sid_store_ = std::make_unique<SidStore>();
+  if (dataset.size() > 0) {
+    const auto [lo, hi] = std::minmax_element(
+        dataset.posts().begin(), dataset.posts().end(),
+        [](const Post& a, const Post& b) { return a.sid < b.sid; });
+    engine->sid_store_->Reserve(lo->sid, hi->sid, dataset.size());
+  }
   for (const Post& p : dataset.posts()) {
     const TweetMeta row = ToMeta(p);
     TKLUS_RETURN_IF_ERROR(engine->db_->Insert(row));

@@ -175,9 +175,17 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
         engine->tracker_.global_bound(), engine->tracker_.HotBounds());
   }
 
-  // Shards: each one a complete TkLusEngine over its owned slice.
-  const std::vector<Dataset> parts =
-      engine->router_.PartitionPosts(dataset, options.shard.geohash_length);
+  // Shards: each one a complete TkLusEngine over its owned slice. Owners
+  // are computed once; each slice is copied out just before its shard is
+  // built and freed right after, so at most one slice of the corpus is
+  // alive beside the shards.
+  std::vector<int> owner(dataset.size());
+  std::vector<size_t> owned(options.num_shards, 0);
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    owner[i] = engine->router_.OwnerOfPost(dataset.posts()[i],
+                                           options.shard.geohash_length);
+    ++owned[owner[i]];
+  }
   engine->shards_.reserve(options.num_shards);
   for (int s = 0; s < options.num_shards; ++s) {
     TkLusEngine::Options shard_options = options.shard;
@@ -186,7 +194,12 @@ Result<std::unique_ptr<ShardedEngine>> ShardedEngine::Build(
     if (options.shard_options_hook) {
       options.shard_options_hook(s, &shard_options);
     }
-    auto shard = TkLusEngine::Build(parts[s], shard_options);
+    Dataset part;
+    part.mutable_posts().reserve(owned[s]);
+    for (size_t i = 0; i < dataset.size(); ++i) {
+      if (owner[i] == s) part.Add(dataset.posts()[i]);
+    }
+    auto shard = TkLusEngine::Build(part, shard_options);
     if (!shard.ok()) return shard.status();
     engine->shards_.push_back(std::move(*shard));
   }

@@ -156,9 +156,10 @@ class MapReduceJob {
       abort.store(true, std::memory_order_relaxed);
     };
 
-    // ---- Map phase: workers pull splits (= map tasks). Each task buffers
-    // its emits locally and only merges them into the worker's partitions
-    // on success, so a failed attempt leaves no partial output behind.
+    // ---- Map phase: workers pull splits (= map tasks). A task appends its
+    // emits to the worker's partitions; a retry first erases what the
+    // failed attempt appended, and a task that exhausts its attempts
+    // aborts the job, so a failed attempt leaves no partial output behind.
     std::vector<std::vector<std::vector<std::pair<K, V>>>> worker_parts(
         W, std::vector<std::vector<std::pair<K, V>>>(R));
     const size_t num_splits =
@@ -166,61 +167,58 @@ class MapReduceJob {
     std::atomic<size_t> next_split{0};
     std::atomic<uint64_t> map_in{0}, map_out{0};
     {
-      std::vector<std::thread> workers;
-      workers.reserve(W);
-      for (int w = 0; w < W; ++w) {
-        workers.emplace_back([&, w] {
-          auto& parts = worker_parts[w];
-          std::vector<std::vector<std::pair<K, V>>> task_parts(R);
-          const Emit emit = [&](K key, V value) {
-            const int p = partitioner_(key, R);
-            task_parts[p].emplace_back(std::move(key), std::move(value));
-          };
-          while (!abort.load(std::memory_order_relaxed)) {
-            const size_t split = next_split.fetch_add(1);
-            if (split >= num_splits) break;
-            const size_t begin = split * options_.split_size;
-            const size_t end =
-                std::min(inputs.size(), begin + options_.split_size);
-            bool done = false;
-            for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-              MapReduceMetrics::Get().task_attempts->Increment();
-              if (attempt > 1) {
-                counters_.Increment(counter_names::kMapTaskRetries);
-                MapReduceMetrics::Get().task_retries->Increment();
-              }
-              for (auto& part : task_parts) part.clear();
-              Status status = RunMapAttempt(inputs, begin, end, split, emit);
-              if (status.ok()) {
-                done = true;
-                break;
-              }
-              if (attempt == max_attempts) {
-                counters_.Increment(counter_names::kTasksFailed);
-                MapReduceMetrics::Get().task_failures->Increment();
-                record_error(Status(
-                    status.code(),
-                    "map task " + std::to_string(split) + " failed after " +
-                        std::to_string(max_attempts) + " attempts: " +
-                        status.message()));
-              }
+      RunOnWorkers(W, [&](int w) {
+        auto& parts = worker_parts[w];
+        // Where the current task's emits start in each partition.
+        std::vector<size_t> task_start(R);
+        const Emit emit = [&](K key, V value) {
+          const int p = partitioner_(key, R);
+          parts[p].emplace_back(std::move(key), std::move(value));
+        };
+        while (!abort.load(std::memory_order_relaxed)) {
+          const size_t split = next_split.fetch_add(1);
+          if (split >= num_splits) break;
+          const size_t begin = split * options_.split_size;
+          const size_t end =
+              std::min(inputs.size(), begin + options_.split_size);
+          for (int p = 0; p < R; ++p) task_start[p] = parts[p].size();
+          bool done = false;
+          for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+            MapReduceMetrics::Get().task_attempts->Increment();
+            if (attempt > 1) {
+              counters_.Increment(counter_names::kMapTaskRetries);
+              MapReduceMetrics::Get().task_retries->Increment();
             }
-            if (!done) break;
+            // Drop what an earlier, failed attempt emitted.
             for (int p = 0; p < R; ++p) {
-              auto& chunk = task_parts[p];
-              map_out.fetch_add(chunk.size(), std::memory_order_relaxed);
-              std::move(chunk.begin(), chunk.end(),
-                        std::back_inserter(parts[p]));
-              chunk.clear();
+              parts[p].erase(parts[p].begin() + task_start[p], parts[p].end());
             }
-            map_in.fetch_add(end - begin, std::memory_order_relaxed);
+            Status status = RunMapAttempt(inputs, begin, end, split, emit);
+            if (status.ok()) {
+              done = true;
+              break;
+            }
+            if (attempt == max_attempts) {
+              counters_.Increment(counter_names::kTasksFailed);
+              MapReduceMetrics::Get().task_failures->Increment();
+              record_error(Status(
+                  status.code(),
+                  "map task " + std::to_string(split) + " failed after " +
+                      std::to_string(max_attempts) + " attempts: " +
+                      status.message()));
+            }
           }
-          if (combiner_ && !abort.load(std::memory_order_relaxed)) {
-            RunCombiner(&parts);
+          if (!done) break;
+          for (int p = 0; p < R; ++p) {
+            map_out.fetch_add(parts[p].size() - task_start[p],
+                              std::memory_order_relaxed);
           }
-        });
-      }
-      for (std::thread& t : workers) t.join();
+          map_in.fetch_add(end - begin, std::memory_order_relaxed);
+        }
+        if (combiner_ && !abort.load(std::memory_order_relaxed)) {
+          RunCombiner(&parts);
+        }
+      });
     }
     if (abort.load()) return first_error;
     stats_.map_input_records = map_in.load();
@@ -232,33 +230,28 @@ class MapReduceJob {
     std::vector<std::vector<std::pair<K, V>>> partitions(R);
     {
       std::atomic<int> next_part{0};
-      std::vector<std::thread> workers;
-      workers.reserve(W);
-      for (int w = 0; w < W; ++w) {
-        workers.emplace_back([&] {
-          while (true) {
-            const int p = next_part.fetch_add(1);
-            if (p >= R) break;
-            size_t total = 0;
-            for (int src = 0; src < W; ++src) {
-              total += worker_parts[src][p].size();
-            }
-            auto& part = partitions[p];
-            part.reserve(total);
-            for (int src = 0; src < W; ++src) {
-              auto& chunk = worker_parts[src][p];
-              std::move(chunk.begin(), chunk.end(), std::back_inserter(part));
-              chunk.clear();
-              chunk.shrink_to_fit();
-            }
-            std::stable_sort(part.begin(), part.end(),
-                             [](const auto& a, const auto& b) {
-                               return a.first < b.first;
-                             });
+      RunOnWorkers(W, [&](int) {
+        while (true) {
+          const int p = next_part.fetch_add(1);
+          if (p >= R) break;
+          size_t total = 0;
+          for (int src = 0; src < W; ++src) {
+            total += worker_parts[src][p].size();
           }
-        });
-      }
-      for (std::thread& t : workers) t.join();
+          auto& part = partitions[p];
+          part.reserve(total);
+          for (int src = 0; src < W; ++src) {
+            auto& chunk = worker_parts[src][p];
+            std::move(chunk.begin(), chunk.end(), std::back_inserter(part));
+            chunk.clear();
+            chunk.shrink_to_fit();
+          }
+          std::stable_sort(part.begin(), part.end(),
+                           [](const auto& a, const auto& b) {
+                             return a.first < b.first;
+                           });
+        }
+      });
     }
     stats_.shuffle_seconds = phase.ElapsedSeconds();
 
@@ -271,51 +264,46 @@ class MapReduceJob {
     {
       std::atomic<int> next_part{0};
       std::atomic<uint64_t> groups{0}, out_records{0};
-      std::vector<std::thread> workers;
-      workers.reserve(W);
-      for (int w = 0; w < W; ++w) {
-        workers.emplace_back([&] {
-          while (!abort.load(std::memory_order_relaxed)) {
-            const int p = next_part.fetch_add(1);
-            if (p >= R) break;
-            auto& part = partitions[p];
-            auto& out = outputs[p];
-            uint64_t task_groups = 0;
-            bool done = false;
-            for (int attempt = 1; attempt <= max_attempts; ++attempt) {
-              MapReduceMetrics::Get().task_attempts->Increment();
-              if (attempt > 1) {
-                counters_.Increment(counter_names::kReduceTaskRetries);
-                MapReduceMetrics::Get().task_retries->Increment();
-              }
-              out.clear();
-              task_groups = 0;
-              Status status = RunReduceAttempt(
-                  part, p, /*may_retry=*/attempt < max_attempts, &out,
-                  &task_groups);
-              if (status.ok()) {
-                done = true;
-                break;
-              }
-              if (attempt == max_attempts) {
-                counters_.Increment(counter_names::kTasksFailed);
-                MapReduceMetrics::Get().task_failures->Increment();
-                record_error(Status(
-                    status.code(),
-                    "reduce task " + std::to_string(p) + " failed after " +
-                        std::to_string(max_attempts) + " attempts: " +
-                        status.message()));
-              }
+      RunOnWorkers(W, [&](int) {
+        while (!abort.load(std::memory_order_relaxed)) {
+          const int p = next_part.fetch_add(1);
+          if (p >= R) break;
+          auto& part = partitions[p];
+          auto& out = outputs[p];
+          uint64_t task_groups = 0;
+          bool done = false;
+          for (int attempt = 1; attempt <= max_attempts; ++attempt) {
+            MapReduceMetrics::Get().task_attempts->Increment();
+            if (attempt > 1) {
+              counters_.Increment(counter_names::kReduceTaskRetries);
+              MapReduceMetrics::Get().task_retries->Increment();
             }
-            if (!done) break;
-            groups.fetch_add(task_groups, std::memory_order_relaxed);
-            out_records.fetch_add(out.size(), std::memory_order_relaxed);
-            part.clear();
-            part.shrink_to_fit();
+            out.clear();
+            task_groups = 0;
+            Status status = RunReduceAttempt(
+                part, p, /*may_retry=*/attempt < max_attempts, &out,
+                &task_groups);
+            if (status.ok()) {
+              done = true;
+              break;
+            }
+            if (attempt == max_attempts) {
+              counters_.Increment(counter_names::kTasksFailed);
+              MapReduceMetrics::Get().task_failures->Increment();
+              record_error(Status(
+                  status.code(),
+                  "reduce task " + std::to_string(p) + " failed after " +
+                      std::to_string(max_attempts) + " attempts: " +
+                      status.message()));
+            }
           }
-        });
-      }
-      for (std::thread& t : workers) t.join();
+          if (!done) break;
+          groups.fetch_add(task_groups, std::memory_order_relaxed);
+          out_records.fetch_add(out.size(), std::memory_order_relaxed);
+          part.clear();
+          part.shrink_to_fit();
+        }
+      });
       stats_.reduce_groups = groups.load();
       stats_.output_records = out_records.load();
     }
@@ -329,6 +317,19 @@ class MapReduceJob {
   const Options& options() const { return options_; }
 
  private:
+  // Runs fn(0), ..., fn(W - 1) concurrently and waits for all of them. The
+  // calling thread runs fn(0) itself instead of idling in join, so a
+  // phase starts W - 1 threads, and the caller's allocator arena (not a
+  // fresh thread's) absorbs a share of the job's buffers.
+  template <typename Fn>
+  static void RunOnWorkers(int W, const Fn& fn) {
+    std::vector<std::thread> workers;
+    workers.reserve(W - 1);
+    for (int w = 1; w < W; ++w) workers.emplace_back(fn, w);
+    fn(0);
+    for (std::thread& t : workers) t.join();
+  }
+
   // One attempt of the map task covering inputs [begin, end). Failures
   // come from the fault injector (simulated node loss) or from the user
   // map function throwing; either way the caller discards this attempt's

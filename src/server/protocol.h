@@ -62,8 +62,10 @@ Status DecodeRequest(const std::string& payload, WireRequest* request);
 std::string EncodeResponse(const WireResponse& response);
 Status DecodeResponse(const std::string& payload, WireResponse* response);
 
-// Writes one `length || payload` frame. Retries short sends; fails on
-// any socket error (the connection is then unusable).
+// Writes one `length || payload` frame with a single sendmsg (prefix and
+// payload as two iovecs), so a frame never waits on Nagle behind its own
+// prefix. Retries short sends; fails on any socket error (the connection
+// is then unusable).
 Status WriteFrame(int fd, const std::string& payload);
 
 // Reads one frame. A clean EOF before any byte of the length prefix sets

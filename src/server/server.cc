@@ -166,10 +166,12 @@ void RequestServer::ServeConnection(int fd) {
     const Status read =
         ReadFrame(fd, options_.max_frame_bytes, &payload, &eof);
     if (!read.ok() || eof) break;
-    const Status written = WriteFrame(fd, HandleRequest(payload));
+    const std::string response = HandleRequest(payload);
+    // Counted before the write, so a client holding its response also
+    // sees it counted.
     requests_served_.fetch_add(1, std::memory_order_relaxed);
     requests_total_->Increment();
-    if (!written.ok()) break;
+    if (!WriteFrame(fd, response).ok()) break;
     // Between requests, check for shutdown so a chatty client cannot pin
     // its worker past Stop().
     MutexLock lock(&queue_mu_);

@@ -1,11 +1,12 @@
 #include "storage/sid_store.h"
 
-#include <cstring>
+#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 
 #include "common/file_io.h"
+#include "common/logging.h"
 #include "common/serde.h"
 
 namespace tklus {
@@ -18,32 +19,40 @@ constexpr uint32_t kSidStoreVersion = 1;
 }  // namespace
 
 void SidStore::Put(const TweetMeta& row) {
-  if (entries_.empty()) {
+  if (slots_.empty()) {
     base_sid_ = row.sid;
-    entries_.resize(1);
-    valid_.resize(1, 0);
+    slots_.resize(1, 0);
   } else if (row.sid < base_sid_) {
     // Never hit by the engine (its sids are monotone); kept correct for
     // arbitrary insertion orders (rebuild scans, tests).
     const size_t shift = static_cast<size_t>(base_sid_ - row.sid);
-    entries_.insert(entries_.begin(), shift, TweetMeta{});
-    valid_.insert(valid_.begin(), shift, 0);
+    slots_.insert(slots_.begin(), shift, 0);
     base_sid_ = row.sid;
-  } else if (static_cast<uint64_t>(row.sid - base_sid_) >= entries_.size()) {
-    const size_t need = static_cast<size_t>(row.sid - base_sid_) + 1;
-    entries_.resize(need);
-    valid_.resize(need, 0);
+  } else if (static_cast<uint64_t>(row.sid - base_sid_) >= slots_.size()) {
+    slots_.resize(static_cast<size_t>(row.sid - base_sid_) + 1, 0);
   }
-  const size_t slot = static_cast<size_t>(row.sid - base_sid_);
-  entry_count_ += valid_[slot] == 0 ? 1 : 0;
-  entries_[slot] = row;
-  valid_[slot] = 1;
+  uint32_t& slot = slots_[static_cast<size_t>(row.sid - base_sid_)];
+  if (slot != 0) {
+    rows_[slot - 1] = row;
+    return;
+  }
+  TKLUS_CHECK(rows_.size() < kMaxRows) << "sid store holds " << kMaxRows
+                                       << " rows, its limit";
+  rows_.push_back(row);
+  slot = static_cast<uint32_t>(rows_.size());
+}
+
+void SidStore::Reserve(int64_t min_sid, int64_t max_sid, size_t rows) {
+  if (!slots_.empty() || max_sid < min_sid) return;
+  base_sid_ = min_sid;
+  slots_.assign(static_cast<size_t>(max_sid - min_sid) + 1, 0);
+  rows_.reserve(rows);
 }
 
 std::optional<TweetMeta> SidStore::Resolve(int64_t sid) const {
-  const std::optional<size_t> slot = SlotOf(sid);
-  if (!slot.has_value() || valid_[*slot] == 0) return std::nullopt;
-  return entries_[*slot];
+  const uint32_t slot = SlotOf(sid);
+  if (slot == 0) return std::nullopt;
+  return rows_[slot - 1];
 }
 
 uint64_t SidStore::ResolveBatch(
@@ -51,28 +60,38 @@ uint64_t SidStore::ResolveBatch(
     std::vector<std::optional<TweetMeta>>* metas) const {
   uint64_t filled = 0;
   for (size_t i = 0; i < sids.size(); ++i) {
-    const std::optional<size_t> slot = SlotOf(sids[i]);
-    if (!slot.has_value() || valid_[*slot] == 0) continue;
-    (*metas)[i] = entries_[*slot];
+    const uint32_t slot = SlotOf(sids[i]);
+    if (slot == 0) continue;
+    (*metas)[i] = rows_[slot - 1];
     ++filled;
   }
   return filled;
 }
 
 uint64_t SidStore::size_bytes() const {
-  return entries_.capacity() * sizeof(TweetMeta) + valid_.capacity();
+  return slots_.capacity() * sizeof(uint32_t) +
+         rows_.capacity() * sizeof(TweetMeta);
 }
 
 void SidStore::Save(std::ostream& out) const {
   serde::WriteU64(out, kSidStoreMagic);
   serde::WriteU32(out, kSidStoreVersion);
   serde::WriteI64(out, base_sid_);
-  serde::WriteU64(out, entries_.size());
-  serde::WriteU64(out, entry_count_);
-  out.write(reinterpret_cast<const char*>(entries_.data()),
-            static_cast<std::streamsize>(entries_.size() * sizeof(TweetMeta)));
-  out.write(reinterpret_cast<const char*>(valid_.data()),
-            static_cast<std::streamsize>(valid_.size()));
+  serde::WriteU64(out, slots_.size());
+  serde::WriteU64(out, rows_.size());
+  // The dense v1 image, expanded a chunk of slots at a time.
+  constexpr size_t kChunk = 4096;
+  std::vector<TweetMeta> dense;
+  for (size_t begin = 0; begin < slots_.size(); begin += kChunk) {
+    const size_t end = std::min(slots_.size(), begin + kChunk);
+    dense.assign(end - begin, TweetMeta{});
+    for (size_t i = begin; i < end; ++i) {
+      if (slots_[i] != 0) dense[i - begin] = rows_[slots_[i] - 1];
+    }
+    out.write(reinterpret_cast<const char*>(dense.data()),
+              static_cast<std::streamsize>(dense.size() * sizeof(TweetMeta)));
+  }
+  for (const uint32_t slot : slots_) out.put(slot != 0 ? 1 : 0);
 }
 
 Result<SidStore> SidStore::Load(std::istream& in) {
@@ -91,26 +110,41 @@ Result<SidStore> SidStore::Load(std::istream& in) {
       !serde::ReadU64(in, &declared_entries)) {
     return Status::Corruption("sid store: truncated header");
   }
+  if (declared_entries > kMaxRows) {
+    return Status::Corruption("sid store: more rows than a store can hold");
+  }
+  // Read the dense image, then compact it in place: row i moves to the
+  // front once the validity map (which follows the entries) says it is
+  // present.
   SidStore store;
   store.base_sid_ = base_sid;
-  store.entries_.resize(slots);
-  store.valid_.resize(slots);
-  in.read(reinterpret_cast<char*>(store.entries_.data()),
+  store.rows_.resize(slots);
+  in.read(reinterpret_cast<char*>(store.rows_.data()),
           static_cast<std::streamsize>(slots * sizeof(TweetMeta)));
   if (static_cast<uint64_t>(in.gcount()) != slots * sizeof(TweetMeta)) {
     return Status::Corruption("sid store: truncated entries");
   }
-  in.read(reinterpret_cast<char*>(store.valid_.data()),
+  std::vector<uint8_t> valid(slots);
+  in.read(reinterpret_cast<char*>(valid.data()),
           static_cast<std::streamsize>(slots));
   if (static_cast<uint64_t>(in.gcount()) != slots) {
     return Status::Corruption("sid store: truncated validity map");
   }
-  for (const uint8_t v : store.valid_) {
-    store.entry_count_ += v != 0 ? 1 : 0;
-  }
-  if (store.entry_count_ != declared_entries) {
+  const uint64_t rows =
+      static_cast<uint64_t>(std::count_if(valid.begin(), valid.end(),
+                                          [](uint8_t v) { return v != 0; }));
+  if (rows != declared_entries) {
     return Status::Corruption("sid store: entry count mismatch");
   }
+  store.slots_.resize(slots, 0);
+  uint32_t row = 0;
+  for (size_t i = 0; i < slots; ++i) {
+    if (valid[i] == 0) continue;
+    store.rows_[row++] = store.rows_[i];
+    store.slots_[i] = row;
+  }
+  store.rows_.resize(rows);
+  store.rows_.shrink_to_fit();
   return store;
 }
 

@@ -19,9 +19,12 @@ namespace tklus {
 // where each candidate posting paid a root-to-leaf descent to join
 // (sid -> uid, lat, lon, ruid, rsid). Sids are dense (timestamps assigned
 // sequentially by the generators and appenders), so the join collapses to
-// one subtraction and an array load: entries are stored in a flat
-// array-of-structs indexed by `sid - base_sid`, with a parallel validity
-// byte per slot (sentinel uids are not assumed).
+// one subtraction and two array loads: a uint32 slot index over
+// [base_sid, max_sid] (0 = absent, otherwise row number + 1) points into a
+// row array holding only the rows the store has. A geohash shard owns
+// roughly every N-th sid of the global range, so it pays 4 bytes per sid
+// in its span plus 48 per row it owns (a dense row per sid would cost 49
+// per sid in the span).
 //
 // Write-side contract: the B+-tree/MetadataDb stays the source of truth.
 // The store is populated at index build and at delta-merge commit (the
@@ -42,11 +45,20 @@ class SidStore {
   SidStore(const SidStore&) = delete;
   SidStore& operator=(const SidStore&) = delete;
 
-  // Inserts or overwrites the row's slot. Sids far from dense only cost
-  // memory (absent slots hold one entry + one validity byte); slots below
-  // the current base trigger an O(n) front-shift, which never happens on
-  // the engine's append-only (monotone sid) write path.
+  // Row numbers are stored + 1 in a uint32 slot, so this is the capacity.
+  static constexpr uint64_t kMaxRows = UINT32_MAX;
+
+  // Inserts or overwrites the row for row.sid. Sids far from dense only
+  // cost memory (4 bytes per absent slot); sids below the current base
+  // trigger an O(span) front-shift of the slot index, which never happens
+  // on the engine's append-only (monotone sid) write path. CHECK-fails
+  // rather than wrap past kMaxRows rows.
   void Put(const TweetMeta& row);
+
+  // Sizes an empty store for `rows` rows with sids in [min_sid, max_sid],
+  // so a bulk load allocates each array once instead of growing it by
+  // doubling. A no-op on a non-empty store or an empty range.
+  void Reserve(int64_t min_sid, int64_t max_sid, size_t rows);
 
   // O(1) point lookup; nullopt when the sid has no committed row.
   std::optional<TweetMeta> Resolve(int64_t sid) const;
@@ -61,12 +73,16 @@ class SidStore {
   // Rows present (not slot capacity). Matches MetadataDb::row_count()
   // exactly when store and DB were committed together — the staleness
   // check Open() uses.
-  uint64_t entry_count() const { return entry_count_; }
-  // Resident bytes of the slot + validity arrays.
+  uint64_t entry_count() const { return rows_.size(); }
+  // Resident bytes of the slot index + row arrays.
   uint64_t size_bytes() const;
 
   // (De)serialization of the full table (used inside the checkpoint
-  // artifact). Load returns kCorruption on truncation or bad magic.
+  // artifact). The stream keeps the original dense v1 layout — one
+  // TweetMeta per slot (TweetMeta{} where absent) plus a validity byte per
+  // slot — so artifacts stay interchangeable across versions; Load
+  // compacts it. Load returns kCorruption on truncation, bad magic or a
+  // row count above kMaxRows.
   void Save(std::ostream& out) const;
   static Result<SidStore> Load(std::istream& in);
 
@@ -82,21 +98,18 @@ class SidStore {
   static Result<SidStore> RebuildFromDb(MetadataDb* db);
 
  private:
-  // Slot index of `sid`, or nullopt when outside [base_sid_, base_sid_ +
-  // slots). Keeps Resolve branch-light: one subtract + one unsigned
-  // compare covers both bounds.
-  std::optional<size_t> SlotOf(int64_t sid) const {
-    if (entries_.empty()) return std::nullopt;
+  // Row number of `sid` plus one, or 0 when the sid has no row. Keeps
+  // Resolve branch-light: one subtract + one unsigned compare covers both
+  // bounds of the slot index.
+  uint32_t SlotOf(int64_t sid) const {
     const uint64_t offset =
         static_cast<uint64_t>(sid) - static_cast<uint64_t>(base_sid_);
-    if (offset >= entries_.size()) return std::nullopt;
-    return static_cast<size_t>(offset);
+    return offset < slots_.size() ? slots_[offset] : 0;
   }
 
-  int64_t base_sid_ = 0;            // sid of slot 0 (meaningless when empty)
-  std::vector<TweetMeta> entries_;  // dense slots, base_sid_ + i
-  std::vector<uint8_t> valid_;      // 1 <=> entries_[i] holds a row
-  uint64_t entry_count_ = 0;        // number of valid slots
+  int64_t base_sid_ = 0;           // sid of slots_[0] (meaningless if empty)
+  std::vector<uint32_t> slots_;    // base_sid_ + i -> row number + 1, 0 absent
+  std::vector<TweetMeta> rows_;    // present rows, in first-Put order
 };
 
 }  // namespace tklus

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <stdexcept>
@@ -226,6 +227,36 @@ TEST(MapReduceTest, ThrowingMapFunctionIsRetried) {
   EXPECT_EQ(counts.at("a"), 1);
   EXPECT_EQ(counts.at("b"), 2);
   EXPECT_EQ(job.counters().Get(counter_names::kMapTaskRetries), 2u);
+}
+
+TEST(MapReduceTest, FailedAttemptsPartialEmitsAreDiscarded) {
+  // Every task's first attempt emits all its words and only then throws:
+  // the retry must start from a partition without those emits, on each of
+  // several workers, or words would be counted twice.
+  const std::vector<std::string> lines = {"a b", "b c", "c d", "d"};
+  std::vector<std::atomic<bool>> attempted(lines.size());
+  WordCountJob::Options opts;
+  opts.num_workers = 2;
+  opts.split_size = 1;
+  WordCountJob job(
+      [&](const std::string& line, const WordCountJob::Emit& emit) {
+        WordCountMap()(line, emit);
+        const size_t i = static_cast<size_t>(
+            std::find(lines.begin(), lines.end(), line) - lines.begin());
+        if (!attempted[i].exchange(true)) {
+          throw std::runtime_error("simulated crash after emitting");
+        }
+      },
+      SumReduce(), opts);
+  auto result = job.Run(lines);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const auto counts = Flatten(*result);
+  EXPECT_EQ(counts.at("a"), 1);
+  EXPECT_EQ(counts.at("b"), 2);
+  EXPECT_EQ(counts.at("c"), 2);
+  EXPECT_EQ(counts.at("d"), 2);
+  EXPECT_EQ(job.counters().Get(counter_names::kMapTaskRetries), lines.size());
+  EXPECT_EQ(job.stats().map_output_records, 7u);
 }
 
 TEST(MapReduceTest, ExhaustedTaskAttemptsFailTheJobCleanly) {
